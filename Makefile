@@ -55,9 +55,11 @@ bench-figures:
 	$(GO) test -run '^$$' -bench 'Figure|Sweep' -benchtime 1x
 
 # One end-to-end pass of every experiment-harness benchmark (airsched
-# sweeps included); CI runs this on each push to catch harness breakage.
+# sweeps included) and of the quasi-cache store's Put benchmark; CI runs
+# this on each push to catch harness breakage.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/experiments/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/qcache/
 
 # Boot bcserver with the observability endpoint and assert /metrics
 # serves a non-empty registry snapshot; catches -obs-addr wiring rot.

@@ -225,10 +225,12 @@ func New(cfg Config, sub *bcast.Subscription) *Client {
 // revalidates them (per-object currency check against the live control
 // snapshot); the store's snapshots are rebuilt per algorithm — a
 // matrix column for F-Matrix, the retained vector for the vector
-// protocols. Grouped entries were never persisted.
+// protocols. Grouped entries were never persisted. Entries the store
+// recovered with one shared column share one rebuilt vector.
 func (c *Client) loadInventory() {
+	vecs := map[*cmatrix.Cycle]*cmatrix.Vector{}
 	for obj, e := range c.cfg.Store.Inventory() {
-		snap, ok := c.snapshotFromStored(obj, e.Col)
+		snap, ok := c.snapshotFromStored(obj, e.Col, vecs)
 		if !ok {
 			c.cfg.Store.Delete(obj)
 			continue
@@ -239,8 +241,9 @@ func (c *Client) loadInventory() {
 }
 
 // snapshotFromStored rebuilds the validation snapshot for one stored
-// column under the configured algorithm.
-func (c *Client) snapshotFromStored(obj int, col []cmatrix.Cycle) (protocol.Snapshot, bool) {
+// column under the configured algorithm; vecs memoizes the vectors
+// already rebuilt, keyed by the stored column's backing array.
+func (c *Client) snapshotFromStored(obj int, col []cmatrix.Cycle, vecs map[*cmatrix.Cycle]*cmatrix.Vector) (protocol.Snapshot, bool) {
 	if len(col) == 0 {
 		return nil, false
 	}
@@ -248,9 +251,13 @@ func (c *Client) snapshotFromStored(obj int, col []cmatrix.Cycle) (protocol.Snap
 	case protocol.FMatrix:
 		return protocol.ColumnSnapshot{Obj: obj, Col: append([]cmatrix.Cycle(nil), col...)}, true
 	case protocol.RMatrix, protocol.Datacycle:
-		v, err := cmatrix.VectorFromEntries(append([]cmatrix.Cycle(nil), col...))
-		if err != nil {
-			return nil, false
+		v, ok := vecs[&col[0]]
+		if !ok {
+			var err error
+			if v, err = cmatrix.VectorFromEntries(col); err != nil {
+				return nil, false
+			}
+			vecs[&col[0]] = v
 		}
 		return protocol.VectorSnapshot{V: v}, true
 	default:
@@ -703,6 +710,11 @@ type cache struct {
 	order      []int // insertion order for eviction
 	store      *qcache.Store
 	onStoreErr func()
+	// vec and vecCol memoize the last vector snapshot persisted and its
+	// column image: every object cached in one cycle retains the same
+	// vector, so the column is built once per cycle, not once per put.
+	vec    *cmatrix.Vector
+	vecCol []cmatrix.Cycle
 }
 
 type cacheEntry struct {
@@ -767,7 +779,7 @@ func (c *cache) persist(obj int, e cacheEntry) {
 	if c.store == nil {
 		return
 	}
-	col, ok := storedColumn(e.snap)
+	col, ok := c.storedColumn(e.snap)
 	if !ok {
 		return
 	}
@@ -787,17 +799,20 @@ func (c *cache) unpersist(obj int) {
 }
 
 // storedColumn extracts the persistable control column from a retained
-// snapshot: the F-Matrix column, or the whole (small) vector.
-func storedColumn(snap protocol.Snapshot) ([]cmatrix.Cycle, bool) {
+// snapshot: the F-Matrix column, or the whole vector.
+func (c *cache) storedColumn(snap protocol.Snapshot) ([]cmatrix.Cycle, bool) {
 	switch s := snap.(type) {
 	case protocol.ColumnSnapshot:
 		return s.Col, true
 	case protocol.VectorSnapshot:
-		col := make([]cmatrix.Cycle, s.V.N())
-		for i := range col {
-			col[i] = s.V.At(i)
+		if s.V != c.vec {
+			col := make([]cmatrix.Cycle, s.V.N())
+			for i := range col {
+				col[i] = s.V.At(i)
+			}
+			c.vec, c.vecCol = s.V, col
 		}
-		return col, true
+		return c.vecCol, true
 	default:
 		return nil, false
 	}

@@ -69,6 +69,15 @@ func TestPersistentCacheSurvivesRestart(t *testing.T) {
 		}
 		defer re.Close()
 		c2 := New(Config{Algorithm: alg, CacheCurrency: 10, Store: re}, srv.Subscribe(64))
+		if alg == protocol.RMatrix {
+			// Both entries were cached in one cycle with one vector; the
+			// restarted client rebuilds it once.
+			v0 := c2.cache.entries[0].snap.(protocol.VectorSnapshot).V
+			v1 := c2.cache.entries[1].snap.(protocol.VectorSnapshot).V
+			if v0 != v1 {
+				t.Fatal("entries recovered with one shared column hold separate vectors")
+			}
+		}
 		srv.StartCycle()
 		c2.AwaitCycle()
 		if got := c2.Stats().Reads; got != 0 {

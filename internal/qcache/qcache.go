@@ -10,10 +10,21 @@
 // replays segments in order, later records superseding earlier ones,
 // and truncates each segment at its first torn or corrupt record — the
 // recovered inventory is exactly the longest valid prefix of what was
-// durably written. Compaction writes the live inventory into a fresh
-// segment via tmp + fsync + rename (atomic on POSIX), then removes the
-// superseded segments; a crash at any point leaves either the old or
-// the new segment set, never a mix that decodes wrongly.
+// durably written. A failed append is cut back out of the segment (or,
+// failing that, the store rotates past it), so no later record lands
+// behind bytes recovery would stop at.
+//
+// Under the vector protocols every object cached in one cycle retains
+// the same n-entry vector. A put whose column equals the last column
+// written in full in the active segment is written as a short
+// shared-column record, and in memory its entry shares that column's
+// slice; each segment starts afresh, so recovery resolves every
+// reference within its own segment. Compaction writes the live
+// inventory, sorted by (caching cycle, object) so equal columns stay
+// adjacent, into a fresh segment via tmp + fsync + rename (atomic on
+// POSIX), then removes the superseded segments; a crash at any point
+// leaves either the old or the new segment set, never a mix that
+// decodes wrongly.
 package qcache
 
 import (
@@ -22,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +64,9 @@ const (
 type Entry struct {
 	Value []byte
 	Cycle cmatrix.Cycle
-	Col   []cmatrix.Cycle // cached control column, Col[i] = C(i, obj)
+	// Col is the cached control column, Col[i] = C(i, obj). Entries
+	// cached with equal columns share one slice, so it is read-only.
+	Col []cmatrix.Cycle
 }
 
 // Options tune a store.
@@ -63,8 +77,9 @@ type Options struct {
 	// WriteBudget, when positive, is a failpoint: the store may write
 	// at most this many bytes in total, byte-exactly — the write that
 	// crosses the budget is truncated at the boundary and fails, and
-	// every later write fails immediately. It simulates a kill -9 at an
-	// arbitrary byte offset for the crash-recovery test matrix.
+	// every later write, truncation or rotation fails immediately. It
+	// simulates a kill -9 at an arbitrary byte offset for the
+	// crash-recovery test matrix.
 	WriteBudget int64
 }
 
@@ -77,8 +92,14 @@ type Store struct {
 	seg    int   // active segment index
 	size   int64 // bytes appended to the active segment
 	inv    map[int]Entry
-	budget int64 // remaining failpoint bytes (-1 = unlimited)
-	closed bool
+	last   []cmatrix.Cycle // last column written in full to the active segment (nil = none)
+	buf    []byte          // framing buffer, reused across appends
+	budget int64           // remaining failpoint bytes (-1 = unlimited)
+	// transient makes the failpoint fail only the write that crosses
+	// the budget, modelling an I/O error (ENOSPC) the process survives
+	// rather than a crash. Set by tests.
+	transient bool
+	closed    bool
 }
 
 // Open recovers (or creates) a store in dir with default options.
@@ -144,9 +165,13 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 // bytes: the records it yields, and the byte length of the prefix they
 // occupy. Everything after the first torn or corrupt record is
 // discarded — a record is either durably whole or it never happened.
-// Pure function; the crash-matrix property tests drive it directly.
+// Shared-column puts come back as plain puts whose Col is the slice of
+// the last full column before them; one with no such column is corrupt
+// and ends the prefix. Pure function; the crash-matrix property tests
+// drive it directly.
 func RecoverSegment(data []byte) (recs []wire.CacheRecord, valid int) {
 	off := 0
+	var last []cmatrix.Cycle
 	for {
 		if off+4 > len(data) {
 			return recs, off
@@ -158,6 +183,15 @@ func RecoverSegment(data []byte) (recs []wire.CacheRecord, valid int) {
 		rec, err := wire.DecodeCacheRecord(data[off+4 : off+4+n])
 		if err != nil {
 			return recs, off
+		}
+		switch {
+		case rec.Kind == wire.CachePutShared:
+			if last == nil {
+				return recs, off
+			}
+			rec.Kind, rec.Col = wire.CachePut, last
+		case rec.Kind == wire.CachePut && len(rec.Col) > 0:
+			last = rec.Col
 		}
 		recs = append(recs, rec)
 		off += 4 + n
@@ -175,22 +209,35 @@ func (s *Store) apply(rec wire.CacheRecord) {
 }
 
 // Put records obj as cached: value, caching cycle, and the control
-// column retained for validation.
+// column retained for validation. A column equal to the last one
+// written in full is not written again: the record refers to it, and
+// the entry shares its slice.
 func (s *Store) Put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cycle) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	rec := wire.CacheRecord{
-		Kind:  wire.CachePut,
-		Obj:   obj,
-		Cycle: cycle,
-		Value: append([]byte(nil), value...),
-		Col:   append([]cmatrix.Cycle(nil), col...),
+	// Rotate before choosing the record kind: a new segment starts with
+	// no column to refer to.
+	if err := s.rotateIfFull(); err != nil {
+		return err
+	}
+	rec := wire.CacheRecord{Kind: wire.CachePut, Obj: obj, Cycle: cycle, Value: append([]byte(nil), value...)}
+	shared := len(col) > 0 && slices.Equal(col, s.last)
+	if shared {
+		rec.Kind = wire.CachePutShared
+	} else {
+		rec.Col = append([]cmatrix.Cycle(nil), col...)
 	}
 	if err := s.append(rec); err != nil {
 		return err
+	}
+	switch {
+	case shared:
+		rec.Col = s.last
+	case len(rec.Col) > 0:
+		s.last = rec.Col
 	}
 	s.inv[obj] = Entry{Value: rec.Value, Cycle: rec.Cycle, Col: rec.Col}
 	return nil
@@ -206,6 +253,9 @@ func (s *Store) Delete(obj int) error {
 	if _, ok := s.inv[obj]; !ok {
 		return nil
 	}
+	if err := s.rotateIfFull(); err != nil {
+		return err
+	}
 	if err := s.append(wire.CacheRecord{Kind: wire.CacheDelete, Obj: obj}); err != nil {
 		return err
 	}
@@ -213,25 +263,52 @@ func (s *Store) Delete(obj int) error {
 	return nil
 }
 
-// append frames and writes one record to the active segment, rotating
-// first when the segment is full.
+// frame appends one length-prefixed record to dst.
+func frame(dst []byte, rec wire.CacheRecord) []byte {
+	start := len(dst)
+	dst = wire.AppendCacheRecord(append(dst, 0, 0, 0, 0), rec)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// append frames and writes one record to the active segment. A failed
+// write is cut back out of the segment, so the records after it do not
+// land behind a torn one. After any failure the next put writes its
+// column in full rather than refer to a column whose record's fate on
+// disk is no longer tracked.
 func (s *Store) append(rec wire.CacheRecord) error {
-	if s.size >= s.opts.MaxSegmentBytes {
-		if err := s.rotate(); err != nil {
-			return err
+	s.buf = frame(s.buf[:0], rec)
+	good := s.size
+	n, err := s.write(s.f, s.buf)
+	s.size += int64(n)
+	if err != nil {
+		s.last = nil
+		if n > 0 {
+			s.dropTorn(good)
+		}
+		return err
+	}
+	return nil
+}
+
+// dropTorn truncates the active segment back to good, the end of its
+// last whole record. If that fails, the segment is marked full, so the
+// next append rotates past the torn bytes instead of writing after them.
+// A spent failpoint budget models a dead process, which truncates
+// nothing: its torn bytes are left for recovery.
+func (s *Store) dropTorn(good int64) {
+	if s.budget != 0 {
+		if err := s.f.Truncate(good); err == nil {
+			s.size = good
+			return
 		}
 	}
-	payload := wire.EncodeCacheRecord(rec)
-	buf := make([]byte, 0, 4+len(payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	n, err := s.write(s.f, buf)
-	s.size += int64(n)
-	return err
+	s.size = s.opts.MaxSegmentBytes
 }
 
 // write is the failpoint-aware write: under a budget it writes exactly
-// the bytes that fit and then fails, modelling a crash mid-record.
+// the bytes that fit and then fails, modelling a crash mid-record (or,
+// when transient, an I/O error the store recovers from).
 func (s *Store) write(f *os.File, p []byte) (int, error) {
 	if s.budget < 0 {
 		return f.Write(p)
@@ -243,20 +320,52 @@ func (s *Store) write(f *os.File, p []byte) (int, error) {
 	}
 	n, _ := f.Write(p[:s.budget])
 	s.budget = 0
+	if s.transient {
+		s.budget = -1
+	}
 	return n, errFailpoint
 }
 
-// rotate opens the next segment for appending.
-func (s *Store) rotate() error {
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("qcache: %w", err)
+// rotateIfFull opens the next segment when the active one is full. The
+// new segment's directory entry is made durable before any record goes
+// into it, and it starts with no column to refer to.
+func (s *Store) rotateIfFull() error {
+	if s.size < s.opts.MaxSegmentBytes {
+		return nil
 	}
-	s.seg++
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(s.seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if s.budget == 0 {
+		return errFailpoint
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(s.seg+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("qcache: %w", err)
 	}
-	s.f, s.size = f, 0
+	if err := syncDir(s.dir); err != nil {
+		f.Close()
+		return err
+	}
+	old := s.f
+	s.f, s.seg, s.size, s.last = f, s.seg+1, 0, nil
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("qcache: closing full segment: %w", err)
+	}
+	return nil
+}
+
+// syncDir makes the directory's entries (created or renamed segments)
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("qcache: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("qcache: syncing directory: %w", err)
+	}
 	return nil
 }
 
@@ -297,7 +406,9 @@ func (s *Store) Segments() (int, error) {
 
 // Compact rewrites the live inventory into one fresh segment and
 // removes the superseded ones. The new segment becomes visible only
-// via rename, so a crash anywhere leaves a decodable store.
+// via rename, so a crash anywhere leaves a decodable store. Records go
+// out sorted by (caching cycle, object): entries cached in one cycle
+// sit together, so a run of equal columns is written once.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,60 +417,68 @@ func (s *Store) Compact() error {
 	}
 	next := s.seg + 1
 	tmpPath := filepath.Join(s.dir, segName(next)+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("qcache: %w", err)
+	}
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return err
 	}
 	objs := make([]int, 0, len(s.inv))
 	for obj := range s.inv {
 		objs = append(objs, obj)
 	}
-	sort.Ints(objs)
+	sort.Slice(objs, func(a, b int) bool {
+		ca, cb := s.inv[objs[a]].Cycle, s.inv[objs[b]].Cycle
+		return ca < cb || ca == cb && objs[a] < objs[b]
+	})
 	var size int64
+	var last []cmatrix.Cycle
 	for _, obj := range objs {
 		e := s.inv[obj]
-		payload := wire.EncodeCacheRecord(wire.CacheRecord{
-			Kind: wire.CachePut, Obj: obj, Cycle: e.Cycle, Value: e.Value, Col: e.Col,
-		})
-		buf := make([]byte, 0, 4+len(payload))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
-		n, err := s.write(tmp, buf)
+		rec := wire.CacheRecord{Kind: wire.CachePut, Obj: obj, Cycle: e.Cycle, Value: e.Value, Col: e.Col}
+		switch {
+		case len(e.Col) > 0 && slices.Equal(e.Col, last):
+			rec.Kind = wire.CachePutShared
+			e.Col = last
+			s.inv[obj] = e
+		case len(e.Col) > 0:
+			last = e.Col
+		}
+		s.buf = frame(s.buf[:0], rec)
+		n, err := s.write(tmp, s.buf)
 		size += int64(n)
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
+			return fail(err)
 		}
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
+		return fail(fmt.Errorf("qcache: %w", err))
 	}
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, segName(next))); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
+		return fail(fmt.Errorf("qcache: %w", err))
 	}
-	old, err := listSegments(s.dir)
+	// The renamed file stays open as the active segment.
+	old := s.f
+	s.f, s.seg, s.size, s.last = tmp, next, size, last
+	_ = old.Close() // superseded: the compacted segment holds its inventory
+	// Until the directory is synced a crash can lose the rename, so the
+	// superseded segments stay. Replaying them before the compacted
+	// segment is harmless: it holds the whole inventory.
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
+	segs, err := listSegments(s.dir)
 	if err != nil {
 		return err
 	}
-	s.f.Close()
-	for _, seg := range old {
+	for _, seg := range segs {
 		if seg < next {
 			os.Remove(filepath.Join(s.dir, segName(seg)))
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("qcache: %w", err)
-	}
-	s.f, s.seg, s.size = f, next, size
 	return nil
 }
 

@@ -29,117 +29,179 @@ import (
 //
 // All multi-byte integers are big-endian.
 
-// Cache record layout:
+// Cache record layout, version 2:
 //
 //	magic    4 bytes  "BCQ1"
-//	version  1 byte   (currently 1)
-//	kind     1 byte   0 = put, 1 = delete
-//	obj      4 bytes
-//	cycle    8 bytes  caching cycle (unwrapped)
-//	vlen     4 bytes  value length (0 for deletes)
+//	version  1 byte   2
+//	kind     1 byte   0 = put, 1 = delete, 2 = shared-column put
+//	obj      uvarint
+//	cycle    uvarint  caching cycle (unwrapped)
+//	vlen     uvarint  value length (0 for deletes)
 //	value    vlen bytes
-//	clen     4 bytes  control column entries (0 for deletes)
+//	clen     uvarint  control column entries (0 for deletes; absent in
+//	                  shared-column puts, as is the column)
 //	column   8 bytes each, unwrapped cycles (disk pays no air bandwidth)
 //	hash     8 bytes  FNV-1a 64 over everything above
+//
+// A shared-column put carries no column of its own: its column is the
+// one of the last put before it, in the same record stream, that
+// carried a non-empty column. Under the vector protocols every object
+// cached in one cycle retains the same n-entry vector, so a run of such
+// puts writes that vector once, and each later put of the run costs a
+// few dozen bytes.
+//
+// Version 1 records (still decoded, no longer written) have the same
+// header and hash, fixed-width fields in between — obj 4 bytes, cycle
+// 8, vlen 4, value, clen 4, column — and no shared-column kind. A
+// version-1 decoder rejects every version-2 record (by its version
+// byte) rather than misreading it.
 
 // CacheRecordMagic identifies a persistent cache record.
 var CacheRecordMagic = [4]byte{'B', 'C', 'Q', '1'}
 
 // CacheRecordVersion is the current record codec version; decoders
 // reject records from a future codec rather than misparse them.
-const CacheRecordVersion = 1
+const CacheRecordVersion = 2
 
 // Cache record kinds.
 const (
-	CachePut    = 0 // an object entered (or refreshed in) the cache
-	CacheDelete = 1 // an object left the cache
+	CachePut       = 0 // an object entered (or refreshed in) the cache
+	CacheDelete    = 1 // an object left the cache
+	CachePutShared = 2 // a put whose column is the last column written (version 2)
 )
 
 // CacheRecord is one logical cache mutation: a put carries the cached
 // value, its caching cycle and the control column retained for
-// validation; a delete carries only the object id.
+// validation; a shared-column put carries the value and cycle only; a
+// delete carries only the object id.
 type CacheRecord struct {
 	Kind  byte
 	Obj   int
 	Cycle cmatrix.Cycle
 	Value []byte
-	Col   []cmatrix.Cycle // Col[i] = C(i, Obj) at the caching cycle
+	Col   []cmatrix.Cycle // Col[i] = C(i, Obj) at the caching cycle; empty for shared-column puts
 }
 
-// EncodeCacheRecord serializes one cache record, checksummed.
-func EncodeCacheRecord(rec CacheRecord) []byte {
-	buf := make([]byte, 0, 26+len(rec.Value)+8*len(rec.Col)+8)
-	buf = append(buf, CacheRecordMagic[:]...)
-	buf = append(buf, CacheRecordVersion, rec.Kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Obj))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Cycle))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Value)))
-	buf = append(buf, rec.Value...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Col)))
-	for _, c := range rec.Col {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
+// AppendCacheRecord appends the checksummed encoding of rec to dst, so
+// a writer can reuse one buffer across records. A shared-column put is
+// encoded without a column whatever rec.Col holds.
+func AppendCacheRecord(dst []byte, rec CacheRecord) []byte {
+	start := len(dst)
+	dst = append(dst, CacheRecordMagic[:]...)
+	dst = append(dst, CacheRecordVersion, rec.Kind)
+	dst = binary.AppendUvarint(dst, uint64(uint32(rec.Obj)))
+	dst = binary.AppendUvarint(dst, uint64(rec.Cycle))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Value)))
+	dst = append(dst, rec.Value...)
+	if rec.Kind != CachePutShared {
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Col)))
+		for _, c := range rec.Col {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(c))
+		}
 	}
 	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum(buf)
+	h.Write(dst[start:])
+	return h.Sum(dst)
 }
 
-// DecodeCacheRecord parses one cache record, verifying version and
-// checksum. Any corruption — torn tail, flipped bit, trailing bytes —
-// is an error, never a wrong record.
+// DecodeCacheRecord parses one cache record of either version,
+// verifying version and checksum. Any corruption — torn tail, flipped
+// bit, trailing bytes — is an error, never a wrong record. A
+// shared-column put decodes with an empty column; resolving it is the
+// record stream's job.
 func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 	var rec CacheRecord
-	if len(data) < 26+8 {
+	if len(data) < 6+8 {
 		return rec, ErrShortBuffer
 	}
 	if [4]byte(data[0:4]) != CacheRecordMagic {
 		return rec, fmt.Errorf("wire: bad cache record magic %q", data[0:4])
 	}
-	if data[4] != CacheRecordVersion {
-		return rec, fmt.Errorf("wire: cache record version %d (want %d)", data[4], CacheRecordVersion)
+	version := data[4]
+	if version != 1 && version != CacheRecordVersion {
+		return rec, fmt.Errorf("wire: cache record version %d (want 1 or %d)", version, CacheRecordVersion)
 	}
 	rec.Kind = data[5]
-	if rec.Kind != CachePut && rec.Kind != CacheDelete {
-		return rec, fmt.Errorf("wire: bad cache record kind %d", rec.Kind)
+	if rec.Kind != CachePut && rec.Kind != CacheDelete && (rec.Kind != CachePutShared || version == 1) {
+		return rec, fmt.Errorf("wire: bad cache record kind %d in version %d", rec.Kind, version)
 	}
-	rec.Obj = int(binary.BigEndian.Uint32(data[6:10]))
-	rec.Cycle = cmatrix.Cycle(binary.BigEndian.Uint64(data[10:18]))
-	vlen := int(binary.BigEndian.Uint32(data[18:22]))
-	if vlen > len(data) {
-		return rec, fmt.Errorf("wire: implausible cache value length %d in %d bytes", vlen, len(data))
-	}
-	off := 22
-	if off+vlen+4 > len(data) {
-		return rec, ErrShortBuffer
-	}
-	if vlen > 0 {
-		rec.Value = append([]byte(nil), data[off:off+vlen]...)
-	}
-	off += vlen
-	clen := int(binary.BigEndian.Uint32(data[off : off+4]))
-	off += 4
-	if clen > len(data)/8 {
-		return rec, fmt.Errorf("wire: implausible cache column length %d in %d bytes", clen, len(data))
-	}
-	if off+8*clen+8 > len(data) {
-		return rec, ErrShortBuffer
-	}
-	if clen > 0 {
-		rec.Col = make([]cmatrix.Cycle, clen)
-		for i := range rec.Col {
-			rec.Col[i] = cmatrix.Cycle(binary.BigEndian.Uint64(data[off : off+8]))
-			off += 8
-		}
-	}
+	body := data[:len(data)-8]
 	h := fnv.New64a()
-	h.Write(data[:off])
-	if binary.BigEndian.Uint64(data[off:off+8]) != h.Sum64() {
+	h.Write(body)
+	if binary.BigEndian.Uint64(data[len(body):]) != h.Sum64() {
 		return rec, fmt.Errorf("wire: cache record checksum mismatch")
 	}
-	if off+8 != len(data) {
-		return rec, fmt.Errorf("wire: %d trailing bytes in cache record", len(data)-off-8)
+	r := recordReader{b: body[6:], v1: version == 1}
+	rec.Obj = int(r.uint(4))
+	rec.Cycle = cmatrix.Cycle(r.uint(8))
+	if vlen := r.uint(4); vlen > 0 {
+		rec.Value = append([]byte(nil), r.take(vlen, 1)...)
+	}
+	if rec.Kind != CachePutShared {
+		if clen := r.uint(4); clen > 0 {
+			raw := r.take(clen, 8)
+			rec.Col = make([]cmatrix.Cycle, len(raw)/8)
+			for i := range rec.Col {
+				rec.Col[i] = cmatrix.Cycle(binary.BigEndian.Uint64(raw[8*i:]))
+			}
+		}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("wire: %d trailing bytes in cache record", len(r.b))
+	}
+	if r.err != nil {
+		return CacheRecord{}, r.err
 	}
 	return rec, nil
+}
+
+// recordReader walks a cache record body; the first error sticks and
+// later reads return zero values.
+type recordReader struct {
+	b   []byte
+	v1  bool // fixed-width big-endian fields instead of uvarints
+	err error
+}
+
+// uint reads one integer field: width bytes in version 1, a uvarint
+// that must fit width bytes in version 2.
+func (r *recordReader) uint(width int) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if r.v1 {
+		if len(r.b) < width {
+			r.err = ErrShortBuffer
+			return 0
+		}
+		var v uint64
+		for _, c := range r.b[:width] {
+			v = v<<8 | uint64(c)
+		}
+		r.b = r.b[width:]
+		return v
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || width < 8 && v>>(8*width) != 0 {
+		r.err = fmt.Errorf("wire: bad varint field in cache record")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// take returns the next count elements of size bytes each.
+func (r *recordReader) take(count uint64, size int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if count > uint64(len(r.b)/size) {
+		r.err = fmt.Errorf("wire: implausible cache record field of %d×%d bytes in %d", count, size, len(r.b))
+		return nil
+	}
+	out := r.b[:int(count)*size]
+	r.b = r.b[len(out):]
+	return out
 }
 
 // Subset subscription layout:

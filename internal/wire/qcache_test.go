@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -15,9 +17,10 @@ func TestCacheRecordRoundTrip(t *testing.T) {
 		{Kind: CachePut, Obj: 3, Cycle: 17, Value: []byte("hello"), Col: []cmatrix.Cycle{0, 4, 16, 2}},
 		{Kind: CachePut, Obj: 0, Cycle: 1, Value: nil, Col: []cmatrix.Cycle{0}},
 		{Kind: CacheDelete, Obj: 9, Cycle: 40},
+		{Kind: CachePutShared, Obj: 1 << 20, Cycle: 1 << 40, Value: []byte("shared")},
 	}
 	for i, rec := range recs {
-		enc := EncodeCacheRecord(rec)
+		enc := AppendCacheRecord(nil, rec)
 		got, err := DecodeCacheRecord(enc)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -35,7 +38,7 @@ func TestCacheRecordRoundTrip(t *testing.T) {
 }
 
 func TestCacheRecordRejectsCorruption(t *testing.T) {
-	good := EncodeCacheRecord(CacheRecord{
+	good := AppendCacheRecord(nil, CacheRecord{
 		Kind: CachePut, Obj: 2, Cycle: 9,
 		Value: []byte("v"), Col: []cmatrix.Cycle{1, 2, 3},
 	})
@@ -63,6 +66,59 @@ func TestCacheRecordRejectsCorruption(t *testing.T) {
 	future[4] = CacheRecordVersion + 1
 	if _, err := DecodeCacheRecord(future); err == nil {
 		t.Fatal("future version accepted")
+	}
+	// A shared-column put must not carry a column: re-tag a full put and
+	// re-checksum it.
+	tagged := append([]byte(nil), good[:len(good)-8]...)
+	tagged[5] = CachePutShared
+	if _, err := DecodeCacheRecord(rehash(tagged)); err == nil {
+		t.Fatal("shared-column put with a column accepted")
+	}
+}
+
+// encodeCacheRecordV1 is the version-1 encoder, kept to pin that its
+// records still decode.
+func encodeCacheRecordV1(rec CacheRecord) []byte {
+	buf := append([]byte(nil), CacheRecordMagic[:]...)
+	buf = append(buf, 1, rec.Kind)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Obj))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Cycle))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Value)))
+	buf = append(buf, rec.Value...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Col)))
+	for _, c := range rec.Col {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
+	}
+	return rehash(buf)
+}
+
+// rehash appends the FNV-1a 64 trailer to a record body.
+func rehash(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return h.Sum(body)
+}
+
+func TestCacheRecordVersion1Decodes(t *testing.T) {
+	recs := []CacheRecord{
+		{Kind: CachePut, Obj: 3, Cycle: 17, Value: []byte("hello"), Col: []cmatrix.Cycle{0, 4, 16, 2}},
+		{Kind: CachePut, Obj: 7, Cycle: 2, Value: []byte("x")},
+		{Kind: CacheDelete, Obj: 9},
+	}
+	for i, rec := range recs {
+		got, err := DecodeCacheRecord(encodeCacheRecordV1(rec))
+		if err != nil {
+			t.Fatalf("record %d: decode: %v", i, err)
+		}
+		if got.Kind != rec.Kind || got.Obj != rec.Obj || got.Cycle != rec.Cycle ||
+			!bytes.Equal(got.Value, rec.Value) || !reflect.DeepEqual(got.Col, rec.Col) {
+			t.Fatalf("record %d: got %+v want %+v", i, got, rec)
+		}
+	}
+	// Version 1 has no shared-column kind.
+	v1 := encodeCacheRecordV1(CacheRecord{Kind: CachePutShared, Obj: 1, Cycle: 2})
+	if _, err := DecodeCacheRecord(v1); err == nil {
+		t.Fatal("shared-column kind accepted in a version-1 record")
 	}
 }
 
@@ -187,16 +243,19 @@ func TestSubsetBroadcastView(t *testing.T) {
 }
 
 func FuzzCacheRecordCodec(f *testing.F) {
-	f.Add(EncodeCacheRecord(CacheRecord{Kind: CachePut, Obj: 1, Cycle: 5, Value: []byte("x"), Col: []cmatrix.Cycle{1, 2}}))
-	f.Add(EncodeCacheRecord(CacheRecord{Kind: CacheDelete, Obj: 0, Cycle: 2}))
+	f.Add(AppendCacheRecord(nil, CacheRecord{Kind: CachePut, Obj: 1, Cycle: 5, Value: []byte("x"), Col: []cmatrix.Cycle{1, 2}}))
+	f.Add(AppendCacheRecord(nil, CacheRecord{Kind: CacheDelete, Obj: 0, Cycle: 2}))
 	f.Add([]byte{})
 	f.Add([]byte("BCQ1 garbage"))
+	f.Add(AppendCacheRecord(nil, CacheRecord{Kind: CachePutShared, Obj: 4, Cycle: 300, Value: []byte("shared")}))
+	f.Add(AppendCacheRecord(nil, CacheRecord{Kind: CachePutShared, Obj: 1 << 31, Cycle: 1 << 62}))
+	f.Add(encodeCacheRecordV1(CacheRecord{Kind: CachePut, Obj: 1, Cycle: 5, Value: []byte("x"), Col: []cmatrix.Cycle{1, 2}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeCacheRecord(data)
 		if err != nil {
 			return
 		}
-		re := EncodeCacheRecord(rec)
+		re := AppendCacheRecord(nil, rec)
 		again, err := DecodeCacheRecord(re)
 		if err != nil {
 			t.Fatalf("accepted record failed round trip: %v", err)
