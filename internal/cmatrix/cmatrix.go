@@ -277,6 +277,28 @@ func MatrixFromColumns(cols [][]Cycle) (*Matrix, error) {
 	return m, nil
 }
 
+// MatrixSharingColumns adopts cols (cols[j][i] = C(i, j)) as the
+// matrix's columns without copying them, every one marked shared like a
+// Snapshot's: a later Apply replaces a column before writing it, so the
+// column slices are never modified. The matrix takes over the outer
+// slice itself. The same slice may back many columns, which makes a
+// view of n mostly-identical columns cost O(n) instead of
+// MatrixFromColumns' n² backing.
+func MatrixSharingColumns(cols [][]Cycle) (*Matrix, error) {
+	n := len(cols)
+	if n == 0 {
+		return nil, fmt.Errorf("cmatrix: no columns")
+	}
+	shared := make([]bool, n)
+	for j, col := range cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("cmatrix: column %d has %d entries, want %d", j, len(col), n)
+		}
+		shared[j] = true
+	}
+	return &Matrix{n: n, cols: cols, shared: shared}, nil
+}
+
 // Commit records one committed update transaction for FromLog.
 type Commit struct {
 	ReadSet  []int

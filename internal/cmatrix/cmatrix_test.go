@@ -309,6 +309,31 @@ func TestRawConstructors(t *testing.T) {
 		t.Error("ragged columns should fail")
 	}
 
+	shared, err := MatrixSharingColumns(cols)
+	if err != nil || !shared.Equal(m) {
+		t.Fatalf("MatrixSharingColumns round trip: %v", err)
+	}
+	if _, err := MatrixSharingColumns(nil); err == nil {
+		t.Error("no columns should fail")
+	}
+	if _, err := MatrixSharingColumns([][]Cycle{{1}, {1, 2}}); err == nil {
+		t.Error("ragged columns should fail")
+	}
+	// One slice backing every column: Apply must replace, never write,
+	// the adopted columns.
+	poison := []Cycle{4, 4}
+	pm, err := MatrixSharingColumns([][]Cycle{poison, poison})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.Apply([]int{0}, []int{1}, 9)
+	if poison[0] != 4 || poison[1] != 4 {
+		t.Fatalf("Apply wrote through an adopted column: %v", poison)
+	}
+	if pm.At(0, 0) != 4 || pm.At(1, 1) != 9 || pm.At(0, 1) != 4 {
+		t.Fatalf("Apply on shared columns gave\n%s", pm)
+	}
+
 	v, err := VectorFromEntries([]Cycle{3, 4})
 	if err != nil || v.At(1) != 4 {
 		t.Fatalf("VectorFromEntries: %v", err)

@@ -209,5 +209,5 @@ func decodeShardRegion(region []byte) (shardHeader, []byte, error) {
 }
 
 // maxFrameLen bounds the wire frames the reassembler will buffer,
-// mirroring netcast's stream frame limit.
+// mirroring netcast's stream frame limit (wire.MaxFrameBytes).
 const maxFrameLen = 16 << 20

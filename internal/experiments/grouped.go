@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"broadcastcc/internal/airsched"
@@ -130,46 +131,46 @@ type GroupedPoint struct {
 	Series map[string]GroupedMetrics
 }
 
-// groupedStream is the pre-generated workload shared by every pass of
-// one analysis: the committed update stream and each client's planned
-// transaction object-sets. Identical across series and group counts, so
-// the only varying factor is the control representation.
-type groupedStream struct {
-	commits [][]plannedGroupedCommit // per cycle
-	txns    [][][]int                // txns[client][k] = k-th txn's objects
+// plannedStream is the pre-generated workload shared by every pass of
+// one replay analysis (grouped, shard): the committed update stream and
+// each client's planned transaction object-sets. Identical across the
+// passes, so the only varying factor is what the pass measures (the
+// control representation, the deployment).
+type plannedStream struct {
+	commits [][]plannedCommit // per cycle
+	txns    [][][]int         // txns[client][k] = k-th txn's objects
 }
 
-type plannedGroupedCommit struct {
+type plannedCommit struct {
 	readSet  []int
 	writeSet []int
 }
 
-func generateGroupedStream(cfg GroupedConfig, seed int64) *groupedStream {
+// pickDistinct draws k distinct objects from pick, redrawing repeats.
+// Callers' RNG streams depend on its draw order: one pick per attempt.
+func pickDistinct(k int, pick func() int) []int {
+	out := make([]int, 0, k)
+	for len(out) < k {
+		obj := pick()
+		if !slices.Contains(out, obj) {
+			out = append(out, obj)
+		}
+	}
+	return out
+}
+
+func generateGroupedStream(cfg GroupedConfig, seed int64) *plannedStream {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
 	pick := func() int { return zipf.Pick(rng.Float64()) }
-	pickDistinct := func(k int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := pick()
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
-	}
 
-	s := &groupedStream{}
+	s := &plannedStream{}
 	for c := 0; c < cfg.Cycles; c++ {
-		var cyc []plannedGroupedCommit
+		var cyc []plannedCommit
 		for i := 0; i < cfg.CommitsPerCycle; i++ {
-			cyc = append(cyc, plannedGroupedCommit{
-				writeSet: pickDistinct(2),
-				readSet:  pickDistinct(2),
+			cyc = append(cyc, plannedCommit{
+				writeSet: pickDistinct(2, pick),
+				readSet:  pickDistinct(2, pick),
 			})
 		}
 		s.commits = append(s.commits, cyc)
@@ -181,7 +182,7 @@ func generateGroupedStream(cfg GroupedConfig, seed int64) *groupedStream {
 	s.txns = make([][][]int, cfg.Clients)
 	for cli := range s.txns {
 		for t := 0; t < cfg.Cycles; t++ {
-			s.txns[cli] = append(s.txns[cli], pickDistinct(cfg.TxnReads))
+			s.txns[cli] = append(s.txns[cli], pickDistinct(cfg.TxnReads, pick))
 		}
 	}
 	return s
@@ -219,7 +220,7 @@ func (c *groupedClient) step(snap protocol.Snapshot, cur cmatrix.Cycle) (committ
 
 // runGroupedPass replays the shared stream against one control
 // representation and returns the pass's measurements.
-func runGroupedPass(cfg GroupedConfig, stream *groupedStream, series string, groups int) GroupedMetrics {
+func runGroupedPass(cfg GroupedConfig, stream *plannedStream, series string, groups int) GroupedMetrics {
 	n := cfg.Objects
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_grouped_control_bits")

@@ -23,7 +23,9 @@ func parallelQuick() Options {
 
 // TestAllSequentialVsParallel verifies the seed-derivation scheme: a
 // fully sequential reproduction and a worker-pool reproduction of
-// every figure produce identical Experiment tables, byte for byte.
+// every figure produce identical Experiment tables, byte for byte. It
+// also holds every table and BENCH JSON to the committed digests
+// (figures_golden_test.go).
 func TestAllSequentialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction too slow for -short")
@@ -56,6 +58,7 @@ func TestAllSequentialVsParallel(t *testing.T) {
 			}
 		}
 	}
+	checkFiguresGolden(t, seq)
 }
 
 // TestSweepParallelErrorMatchesSequential: when a run fails, the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"broadcastcc/internal/airsched"
@@ -148,20 +149,6 @@ type quasiStream struct {
 func generateQuasiStream(cfg QuasiConfig, seed int64) *quasiStream {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
-	pickDistinct := func(k int, pick func() int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := pick()
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
-	}
 	readPick := func() int { return zipf.Pick(rng.Float64()) }
 	// The mirrored write law: write heat concentrates on the tail of
 	// read popularity.
@@ -188,13 +175,9 @@ func generateQuasiStream(cfg QuasiConfig, seed int64) *quasiStream {
 			// condition only an earlier-read object overwritten before a
 			// later read aborts, so a leading fast-changing read is what
 			// genuinely exposes the transaction to the update stream.
-			var v int
-			for dup := true; dup; {
+			v := writePick()
+			for slices.Contains(rest, v) {
 				v = writePick()
-				dup = false
-				for _, o := range rest {
-					dup = dup || o == v
-				}
 			}
 			s.txns[cli] = append(s.txns[cli], append([]int{v}, rest...))
 		}

@@ -161,16 +161,7 @@ type ShardPoint struct {
 	Metrics ShardMetrics
 }
 
-// shardStream is the pre-generated workload shared by every pass: the
-// uplink commit stream (read and write sets over global object ids) and
-// each client's planned transaction object-sets. Identical across shard
-// counts, so the only varying factor is the deployment.
-type shardStream struct {
-	commits [][]plannedGroupedCommit // per cycle
-	txns    [][][]int                // txns[client][t] = t-th txn's objects
-}
-
-func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
+func generateShardStream(cfg ShardConfig, seed int64) *plannedStream {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
 	// Entity-affine picks: with probability Affinity a transaction
@@ -186,57 +177,35 @@ func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
 	}
 	pickWithin := func(k int) []int {
 		base := entityZipf.Pick(rng.Float64()) * entity
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := base + rng.Intn(entity)
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
+		return pickDistinct(k, func() int { return base + rng.Intn(entity) })
 	}
 	pickScattered := func(k int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := zipf.Pick(rng.Float64())
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
+		return pickDistinct(k, func() int { return zipf.Pick(rng.Float64()) })
 	}
-	pickDistinct := func(k int) []int {
+	pickTxn := func(k int) []int {
 		if entityZipf != nil && k <= entity && rng.Float64() < cfg.Affinity {
 			return pickWithin(k)
 		}
 		return pickScattered(k)
 	}
 
-	s := &shardStream{}
+	s := &plannedStream{}
 	for c := 0; c < cfg.Cycles; c++ {
-		var cyc []plannedGroupedCommit
+		var cyc []plannedCommit
 		for i := 0; i < cfg.CommitsPerCycle; i++ {
-			var cm plannedGroupedCommit
+			var cm plannedCommit
 			if entityZipf != nil && rng.Float64() < cfg.Affinity {
 				// Affine commit: reads and writes inside one entity.
 				objs := pickWithin(4)
-				cm = plannedGroupedCommit{writeSet: objs[:2], readSet: objs[2:]}
+				cm = plannedCommit{writeSet: objs[:2], readSet: objs[2:]}
 			} else if entityZipf != nil {
 				// Cross-entity commit — the realistic cross-partition
 				// shape: read one entity, write into another (usually a
 				// different shard), rather than four unrelated keys.
-				cm = plannedGroupedCommit{writeSet: pickWithin(2), readSet: pickWithin(2)}
+				cm = plannedCommit{writeSet: pickWithin(2), readSet: pickWithin(2)}
 			} else {
 				objs := pickScattered(4)
-				cm = plannedGroupedCommit{writeSet: objs[:2], readSet: objs[2:]}
+				cm = plannedCommit{writeSet: objs[:2], readSet: objs[2:]}
 			}
 			cyc = append(cyc, cm)
 		}
@@ -245,7 +214,7 @@ func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
 	s.txns = make([][][]int, cfg.Clients)
 	for cli := range s.txns {
 		for t := 0; t < cfg.Cycles; t++ {
-			s.txns[cli] = append(s.txns[cli], pickDistinct(cfg.TxnReads))
+			s.txns[cli] = append(s.txns[cli], pickTxn(cfg.TxnReads))
 		}
 	}
 	return s
@@ -314,7 +283,7 @@ func (c *shardClient) step(snaps []*cmatrix.Grouped, cur cmatrix.Cycle) (committ
 
 // runShardPass replays the shared stream against one k-shard deployment
 // and returns the pass's measurements.
-func runShardPass(cfg ShardConfig, stream *shardStream, seed int64, k int) ShardMetrics {
+func runShardPass(cfg ShardConfig, stream *plannedStream, seed int64, k int) ShardMetrics {
 	m := shard.NewPrefixMapping(shard.NewRing(seed, k, cfg.Vnodes), cfg.Objects, cfg.EntityObjects)
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_shard_control_bits")

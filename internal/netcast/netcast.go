@@ -32,7 +32,7 @@ import (
 
 // maxFrame bounds accepted frame sizes (16 MiB is far above any real
 // cycle or uplink request).
-const maxFrame = 16 << 20
+const maxFrame = wire.MaxFrameBytes
 
 // WriteFrame writes one length-prefixed frame in the broadcast stream's
 // wire format (4-byte big-endian length, then the payload). Exported so

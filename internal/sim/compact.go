@@ -9,16 +9,17 @@ import (
 // Config.CompactRNG is set: a two-word PCG generator (16 bytes of state
 // per client, vs ~5 KB for math/rand's lagged-Fibonacci source), with
 // the handful of derived draws the engine needs implemented inline so
-// nothing escapes to the heap. The streams differ from the legacy
-// sources — compact mode trades byte-identity with the legacy oracle
-// for 10^6-client memory — but they are just as deterministic: the same
-// (Seed, client id) always replays the same stream.
+// nothing escapes to the heap. The streams differ from the default
+// math/rand sources — compact mode trades byte-identity with the
+// committed multi-client goldens for 10^6-client memory — but they are
+// just as deterministic: the same (Seed, client id) always replays the
+// same stream.
 type compactSource struct {
 	pcg rand.PCG
 }
 
 // seed derives the two PCG words from the engine's per-client seed
-// (cfg.Seed + (i+1)*1_000_003, the same derivation as legacy) via
+// (cfg.Seed + (i+1)*1_000_003, the same derivation as compat mode) via
 // SplitMix64, so adjacent client seeds land in unrelated streams.
 func (s *compactSource) seed(seed int64) {
 	z := uint64(seed)

@@ -114,11 +114,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Clients > 1 {
-		if cfg.Engine == EngineLegacy {
-			return e.runMulti()
-		}
 		return e.runWheel()
 	}
+	// The single client keeps its own loop rather than running on the
+	// wheel at n = 1: the paper's figures come from it and would not
+	// stay byte-identical. Its server stream aliases the client's rng
+	// (srvRng), its client stream is seeded with Seed itself rather than
+	// a per-client derivation, and only it carries the client cache and
+	// the airsched tuning accounting.
 	return e.run()
 }
 

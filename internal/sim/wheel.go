@@ -8,21 +8,31 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/stats"
 )
 
-// The event-wheel engine. Clients are not actors: they are cursors into
-// the single shared broadcast timeline. All per-client state lives in
-// flat arrays indexed by client id (no per-client heap objects beyond
-// the rand source and the validator read-set backing array), and the
-// one pending event per client — next read completion or uplink-commit
-// arrival — sits on a timing wheel keyed on the cycle clock. At 10^6
-// clients the whole simulation state is a handful of large slices.
+// The multi-client engine. The paper simulates a single client because
+// the protocols' read-only validation is purely local: "the performance
+// of the outlined concurrency control mechanisms for read-only
+// transactions is independent of the number of clients". This engine
+// makes that claim testable — N clients drive a shared broadcast — and
+// is required once client *update* transactions (our future-work
+// extension) are in play, because uplink commits from different
+// clients genuinely interact.
 //
-// The engine is an exact behavioural mirror of runMulti (multi.go): the
-// same per-client rand streams consumed in the same order, the same
-// trace emissions, the same (time, seq) global event order. Result is
-// byte-identical between the two for any Config both accept; multi.go
-// stays behind Config.Engine = EngineLegacy as the differential oracle.
+// Clients are not actors: they are cursors into the single shared
+// broadcast timeline. All per-client state lives in flat arrays indexed
+// by client id (no per-client heap objects beyond the rand source and
+// the validator read-set backing array), and the one pending event per
+// client — next read completion or uplink-commit arrival — sits on a
+// timing wheel keyed on the cycle clock. At 10^6 clients the whole
+// simulation state is a handful of large slices.
+//
+// Events pop in global (time, seq) order, seq counting every push, so a
+// run is a pure function of Config. The wheel replaced a heap-per-event
+// engine whose Results it reproduced byte for byte; those Results are
+// frozen in testdata/engine_golden.json and the tests hold the wheel to
+// them.
 
 // wheelSlots is the ring horizon in broadcast cycles. Client events are
 // think-time draws (mean ~ a fraction of a cycle) and uplink latencies,
@@ -31,8 +41,8 @@ import (
 // into a min-heap that drains back into the ring as the hand advances.
 const wheelSlots = 64
 
-// wheelEvent is one pending client event; seq breaks time ties exactly
-// like the legacy engine's heap (global, incremented on every push).
+// wheelEvent is one pending client event; seq (global, incremented on
+// every push) breaks time ties.
 type wheelEvent struct {
 	time   float64
 	seq    int64
@@ -170,6 +180,21 @@ func (w *eventWheel) migrate() {
 	}
 }
 
+// ClientStats are one client's measured metrics in a multi-client run.
+type ClientStats struct {
+	ResponseTime       stats.Sample
+	Restarts           stats.Sample
+	UpdateResponseTime stats.Sample
+}
+
+// mcAction is what a client does when its event fires.
+type mcAction int
+
+const (
+	actRead   mcAction = iota // perform the scheduled validated read
+	actCommit                 // uplink commit arrives at the server
+)
+
 // wheelEngine packs all per-client simulation state into flat arrays.
 type wheelEngine struct {
 	e   *engine
@@ -181,9 +206,9 @@ type wheelEngine struct {
 	wheel *eventWheel
 	seq   int64
 
-	// Per-client rand streams: compat mode mirrors the legacy engine's
-	// sources bit for bit; compact mode (Config.CompactRNG) stores
-	// two-word PCG state flat.
+	// Per-client rand streams: compat mode keeps one math/rand source
+	// per client, the streams the golden Results were drawn from;
+	// compact mode (Config.CompactRNG) stores two-word PCG state flat.
 	rands   []*rand.Rand    // compat: one lagged-Fibonacci source per client
 	compact []compactSource // compact: flat PCG state, wrapped on the fly
 
@@ -207,8 +232,7 @@ type wheelEngine struct {
 	// Scratch for uplink write-sets (the server copies what it keeps).
 	scratchWrite []int
 
-	// Pop-order watchdog: the wheel must reproduce the legacy heap's
-	// global (time, seq) order.
+	// Pop-order watchdog: events must pop in global (time, seq) order.
 	lastTime float64
 	lastSeq  int64
 }
@@ -358,8 +382,8 @@ func (w *wheelEngine) expDraw(i int, mean float64) float64 {
 	return w.rands[i].ExpFloat64() * mean
 }
 
-// startTxn mirrors startTxnAt: initialize client i's next transaction
-// program with the given submission instant.
+// startTxn initializes client i's next transaction program with the
+// given submission instant.
 func (w *wheelEngine) startTxn(i int, submit float64) {
 	cfg := w.cfg
 	w.pickObjects(i)
@@ -391,10 +415,10 @@ func (w *wheelEngine) startTxn(i int, submit float64) {
 }
 
 // pickObjects draws the transaction's distinct object set into the
-// client's flat row. Compat mode routes through the legacy picker so
-// the rand stream is consumed identically; compact mode samples
-// allocation-free (rejection with a linear dedup scan — txnLen is
-// single digits).
+// client's flat row. Compat mode routes through the single-client
+// picker (pickObjectsFrom) on the client's own stream; compact mode
+// samples allocation-free (rejection with a linear dedup scan — txnLen
+// is single digits).
 func (w *wheelEngine) pickObjects(i int) {
 	row := w.objRow(i)
 	if w.compact == nil {
@@ -434,8 +458,8 @@ func (w *wheelEngine) pickObjects(i int) {
 	}
 }
 
-// scheduleRead mirrors scheduleReadAt: think time from base, then the
-// object's next transmission, skipping cycles the client's tuner misses
+// scheduleRead computes when client i's next read completes: think
+// time from base, then the object's next transmission, skipping cycles the client's tuner misses
 // (doze or frame loss). The read's cycle is recorded for validation at
 // fire time.
 func (w *wheelEngine) scheduleRead(i int, base float64) float64 {
@@ -452,9 +476,9 @@ func (w *wheelEngine) scheduleRead(i int, base float64) float64 {
 	return ready
 }
 
-// nextTxnOrStop mirrors the legacy transaction bookkeeping: record the
-// completed transaction and either schedule client i's next one or
-// report that the client finished its workload.
+// nextTxnOrStop records the completed transaction and either schedules
+// client i's next one (after the inter-transaction delay) or reports
+// that the client finished its workload.
 func (w *wheelEngine) nextTxnOrStop(i int, res *Result) (stopped bool) {
 	cfg, e := w.cfg, w.e
 	e.hRestartsTxn.Observe(int64(w.restarts[i]))
@@ -481,4 +505,31 @@ func (w *wheelEngine) nextTxnOrStop(i int, res *Result) (stopped bool) {
 	w.startTxn(i, submit)
 	w.push(w.scheduleRead(i, submit), i)
 	return false
+}
+
+// finalizeResult fills the aggregate fields shared with the
+// single-client path.
+func (e *engine) finalizeResult(res *Result) {
+	res.CyclesSimulated = int64(e.snappedThrough)
+	res.DozedFrames = e.dozed
+	res.SimulatedTime = e.now
+	res.AuditLog = e.auditLog
+	res.CommittedReadSets = e.auditReadSets
+	// Counter fields are views over the registry — the same numbers a
+	// live run would expose on /metrics under the same names.
+	res.ServerCommits = e.cServerCommits.Load()
+	res.CacheHits = e.cCacheHits.Load()
+	res.ClientCommits = e.cClientCommits.Load()
+	res.UplinkRejects = e.cUplinkRejects.Load()
+	e.obsReg.Gauge("sim_dozed_frames").Set(e.dozed)
+	res.Obs = e.obsReg.Snapshot()
+	res.Trace = e.trace.Events()
+	if res.ResponseTime.N() >= 2 {
+		if ci, err := res.ResponseTime.ConfidenceInterval(0.95); err == nil {
+			res.ResponseCI = ci
+		}
+	}
+	if n := res.Restarts.N(); n > 0 {
+		res.RestartRatio = res.Restarts.Sum() / float64(n)
+	}
 }

@@ -13,60 +13,39 @@ import (
 	"broadcastcc/internal/protocol"
 )
 
-// The differential suite: the event-wheel engine must produce a Result
-// byte-identical to the legacy heap engine — same samples, same obs
-// snapshot, same trace, same per-client stats — for every multi-client
-// configuration both engines accept.
+// The differential suite: the event-wheel engine must reproduce, byte
+// for byte, the Results the original heap-based engine produced for
+// every multi-client configuration below — same samples, same obs
+// snapshot, same trace, same per-client stats. The heap engine's
+// outputs are frozen in testdata/engine_golden.json (engine_golden_test.go).
 
-// runBothEngines executes the same config under both engines.
-func runBothEngines(t *testing.T, cfg Config) (legacy, wheel *Result) {
+// mustEqualResults asserts byte-identity between two Results.
+func mustEqualResults(t *testing.T, a, b *Result) {
 	t.Helper()
-	lc := cfg
-	lc.Engine = EngineLegacy
-	legacy, err := Run(lc)
-	if err != nil {
-		t.Fatalf("legacy engine: %v", err)
-	}
-	wc := cfg
-	wc.Engine = EngineWheel
-	wheel, err = Run(wc)
-	if err != nil {
-		t.Fatalf("wheel engine: %v", err)
-	}
-	return legacy, wheel
-}
-
-// mustEqualResults asserts byte-identity between two Results modulo the
-// Engine field of the embedded Config.
-func mustEqualResults(t *testing.T, legacy, wheel *Result) {
-	t.Helper()
-	l, w := *legacy, *wheel
-	l.Config.Engine, w.Config.Engine = "", ""
-
 	// The obs snapshots marshal deterministically; compare the exact
 	// bytes a /metrics endpoint (or an embedded BENCH table) would show.
-	lo, err := json.Marshal(l.Obs)
+	ao, err := json.Marshal(a.Obs)
 	if err != nil {
-		t.Fatalf("marshal legacy obs: %v", err)
+		t.Fatalf("marshal obs: %v", err)
 	}
-	wo, err := json.Marshal(w.Obs)
+	bo, err := json.Marshal(b.Obs)
 	if err != nil {
-		t.Fatalf("marshal wheel obs: %v", err)
+		t.Fatalf("marshal obs: %v", err)
 	}
-	if !bytes.Equal(lo, wo) {
-		t.Errorf("obs snapshots differ:\nlegacy: %s\nwheel:  %s", lo, wo)
+	if !bytes.Equal(ao, bo) {
+		t.Errorf("obs snapshots differ:\nfirst:  %s\nsecond: %s", ao, bo)
 	}
-	if !reflect.DeepEqual(l.Trace, w.Trace) {
-		t.Errorf("traces differ: legacy %d events, wheel %d events", len(l.Trace), len(w.Trace))
-		for i := range l.Trace {
-			if i < len(w.Trace) && l.Trace[i] != w.Trace[i] {
-				t.Errorf("first divergence at event %d: legacy %+v wheel %+v", i, l.Trace[i], w.Trace[i])
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
+		t.Errorf("traces differ: %d events vs %d events", len(a.Trace), len(b.Trace))
+		for i := range a.Trace {
+			if i < len(b.Trace) && a.Trace[i] != b.Trace[i] {
+				t.Errorf("first divergence at event %d: %+v vs %+v", i, a.Trace[i], b.Trace[i])
 				break
 			}
 		}
 	}
-	if !reflect.DeepEqual(l, w) {
-		t.Errorf("results differ beyond obs/trace:\nlegacy: %+v\nwheel:  %+v", l, w)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("results differ beyond obs/trace:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
 }
 
@@ -155,13 +134,15 @@ func wheelDiffConfigs() map[string]Config {
 	return cfgs
 }
 
+// TestWheelMatchesLegacyAcrossConfigs holds the wheel to the heap
+// engine's frozen Result for every corner of wheelDiffConfigs.
 func TestWheelMatchesLegacyAcrossConfigs(t *testing.T) {
+	golden := loadEngineGolden(t)
 	for name, cfg := range wheelDiffConfigs() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			legacy, wheel := runBothEngines(t, cfg)
-			mustEqualResults(t, legacy, wheel)
+			mustMatchGolden(t, golden, name, cfg)
 		})
 	}
 }
@@ -170,19 +151,8 @@ func TestWheelMatchesLegacyAtThousandClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-client differential run")
 	}
-	cfg := smallConfig(protocol.FMatrix)
-	cfg.Clients = 1000
-	cfg.ClientTxns = 6
-	cfg.MeasureFrom = 2
-	cfg.ClientUpdateProb = 0.1
-	cfg.UplinkLatency = 4096
-	cfg.FaultLoss = 0.1
-	cfg.FaultDoze = 0.05
-	cfg.FaultDozeLen = 2
-	cfg.FaultSeed = 23
-	legacy, wheel := runBothEngines(t, cfg)
-	mustEqualResults(t, legacy, wheel)
-	if legacy.Restarts.N() == 0 && legacy.UpdateRestarts.N() == 0 {
+	r := mustMatchGolden(t, loadEngineGolden(t), "clients=1000", goldenConfigs()["clients=1000"])
+	if r.Restarts.N() == 0 && r.UpdateRestarts.N() == 0 {
 		t.Fatal("degenerate run: no measured transactions")
 	}
 }
@@ -198,7 +168,6 @@ func TestWheelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg.MeasureFrom = 10
 	cfg.FaultLoss = 0.15
 	cfg.FaultSeed = 5
-	cfg.Engine = EngineWheel
 
 	prev := runtime.GOMAXPROCS(1)
 	one, err := Run(cfg)
@@ -215,22 +184,12 @@ func TestWheelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestWheelDozeWakeOrdering drives heavy doze/loss fault schedules so
 // reads repeatedly skip cycles (doze-wake on the wheel lands events
-// several slots ahead) and asserts the wheel still reproduces the
-// legacy engine exactly, doze trace included.
+// several slots ahead) and asserts the wheel still reproduces the heap
+// engine's golden exactly, doze trace included.
 func TestWheelDozeWakeOrdering(t *testing.T) {
-	cfg := smallConfig(protocol.FMatrix)
-	cfg.Clients = 64
-	cfg.ClientTxns = 12
-	cfg.MeasureFrom = 2
-	cfg.FaultLoss = 0.3
-	cfg.FaultDoze = 0.2
-	cfg.FaultDozeLen = 3
-	cfg.FaultSeed = 41
-	legacy, wheel := runBothEngines(t, cfg)
-	mustEqualResults(t, legacy, wheel)
-
+	r := mustMatchGolden(t, loadEngineGolden(t), "doze-wake", goldenConfigs()["doze-wake"])
 	dozes := 0
-	for _, ev := range wheel.Trace {
+	for _, ev := range r.Trace {
 		if ev.Kind == obs.EvDoze {
 			dozes++
 		}
@@ -240,25 +199,15 @@ func TestWheelDozeWakeOrdering(t *testing.T) {
 	}
 }
 
-// TestWheelMassRetune makes nearly every client miss cycles at once
-// (FaultDoze close to the cap with long windows), so after a dropped
-// cycle a wave of clients retunes into the same later slot
-// simultaneously; pop order within the slot must still be the global
-// (time, seq) order the legacy heap produces.
+// TestWheelMassRetune makes nearly every client miss cycles at once, so
+// a wave of clients retunes into the same later slot simultaneously;
+// pop order within the slot must still be the global (time, seq) order
+// the heap engine's golden records.
 func TestWheelMassRetune(t *testing.T) {
-	cfg := smallConfig(protocol.FMatrix)
-	cfg.Clients = 128
-	cfg.ClientTxns = 8
-	cfg.MeasureFrom = 2
-	cfg.FaultDoze = 0.6
-	cfg.FaultDozeLen = 4
-	cfg.FaultSeed = 3
-	cfg.MaxTime = 5e11
-	legacy, wheel := runBothEngines(t, cfg)
-	mustEqualResults(t, legacy, wheel)
+	mustMatchGolden(t, loadEngineGolden(t), "mass-retune", goldenConfigs()["mass-retune"])
 }
 
-func TestClientsAndEngineBoundsValidation(t *testing.T) {
+func TestClientsBoundsValidation(t *testing.T) {
 	base := smallConfig(protocol.FMatrix)
 	cases := []struct {
 		name string
@@ -267,8 +216,6 @@ func TestClientsAndEngineBoundsValidation(t *testing.T) {
 	}{
 		{"negative clients", func(c *Config) { c.Clients = -1 }, "Clients"},
 		{"clients overflow", func(c *Config) { c.Clients = MaxClients + 1 }, "MaxClients"},
-		{"unknown engine", func(c *Config) { c.Clients = 2; c.Engine = "turbine" }, "Engine"},
-		{"compact rng on legacy", func(c *Config) { c.Clients = 2; c.Engine = EngineLegacy; c.CompactRNG = true }, "CompactRNG"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

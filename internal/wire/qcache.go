@@ -419,6 +419,13 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 	if count > sc.Objects {
 		return nil, fmt.Errorf("wire: subset lists %d of %d objects", count, sc.Objects)
 	}
+	// A frame listing few objects is short whatever n it claims, and
+	// Broadcast builds an n-wide view: believe n only if the full
+	// matrix cycle it implies could have been broadcast.
+	if !matrixCycleFits(sc.Objects, sc.ObjBytes, sc.TsBits) {
+		return nil, fmt.Errorf("wire: subset claims n=%d objBytes=%d tsBits=%d, whose full cycle exceeds the %d-byte frame limit",
+			sc.Objects, sc.ObjBytes, sc.TsBits, MaxFrameBytes)
+	}
 	// The frame length is fully determined by the header; reject before
 	// allocating.
 	perObject := int64(4+sc.ObjBytes) + (int64(sc.Objects)*int64(sc.TsBits)+7)/8
@@ -471,7 +478,9 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 // validation that touches an unsubscribed object conservatively fails
 // (bound >= cycle) rather than silently accepting a read the frame
 // never carried. Unsubscribed value slots are nil — the client layer
-// must refuse to serve them (Config.Subset).
+// must refuse to serve them (Config.Subset). The view shares its
+// columns with sc (every poisoned column is one slice), so it costs
+// O(n) plus the listed columns rather than n².
 func (sc *SubsetCycle) Broadcast() (*bcast.CycleBroadcast, error) {
 	cols := make([][]cmatrix.Cycle, sc.Objects)
 	values := make([][]byte, sc.Objects)
@@ -486,7 +495,7 @@ func (sc *SubsetCycle) Broadcast() (*bcast.CycleBroadcast, error) {
 		cols[o] = sc.Columns[k]
 		values[o] = sc.Values[k]
 	}
-	m, err := cmatrix.MatrixFromColumns(cols)
+	m, err := cmatrix.MatrixSharingColumns(cols)
 	if err != nil {
 		return nil, err
 	}

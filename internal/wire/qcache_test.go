@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -239,6 +240,76 @@ func TestSubsetBroadcastView(t *testing.T) {
 	}
 	if v.TryRead(view.Column(0), 0, view.Number) {
 		t.Fatal("unsubscribed read accepted against a subscribed one")
+	}
+}
+
+// subsetHeader builds a BCQ3 frame that claims n objects and lists none.
+func subsetHeader(n, objBytes, tsBits int) []byte {
+	hdr := make([]byte, subsetHeaderBytes)
+	copy(hdr, SubsetCycleMagic[:])
+	binary.BigEndian.PutUint64(hdr[4:12], 9)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(n))
+	binary.BigEndian.PutUint32(hdr[16:20], uint32(objBytes))
+	hdr[20] = byte(tsBits)
+	return hdr
+}
+
+// TestDecodeSubsetCycleBoundsN pins that a subset frame's n is believed
+// only up to the largest database whose full matrix cycle fits one
+// frame: a frame listing no objects is as short as its header whatever
+// n it claims. An empty subscription at a legal n stays legal.
+func TestDecodeSubsetCycleBoundsN(t *testing.T) {
+	n := 1
+	for matrixCycleFits(n+1, 1, 1) {
+		n++
+	}
+	if n < 10000 || n > 12000 {
+		t.Fatalf("largest n at objBytes=1 tsBits=1 is %d, want ~11.5k for a 16 MiB frame", n)
+	}
+	sc, err := DecodeSubsetCycle(subsetHeader(n, 1, 1))
+	if err != nil {
+		t.Fatalf("empty subscription at n=%d rejected: %v", n, err)
+	}
+	if len(sc.Objs) != 0 {
+		t.Fatalf("empty frame decoded %d objects", len(sc.Objs))
+	}
+	if _, err := DecodeSubsetCycle(subsetHeader(n+1, 1, 1)); err == nil {
+		t.Fatalf("n=%d accepted although its full cycle exceeds a frame", n+1)
+	}
+	if _, err := DecodeSubsetCycle(subsetHeader(n, 2, 1)); err == nil {
+		t.Fatal("wider object slots did not lower the bound")
+	}
+	crasher := []byte("BCQ320000000 \x00\x00\x040000 \x00\x00\x00\x00")
+	if _, err := DecodeSubsetCycle(crasher); err == nil {
+		t.Fatal("frame claiming n ~ 5e8 accepted")
+	}
+}
+
+// TestSubsetBroadcastSharesPoison pins that the view of a sparse
+// subscription costs O(n), not a dense n×n matrix: every unsubscribed
+// column is the one poisoned slice.
+func TestSubsetBroadcastSharesPoison(t *testing.T) {
+	const n = 2000
+	sc, err := DecodeSubsetCycle(subsetHeader(n, 1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	view, err := sc.Broadcast()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Broadcast of an empty n=%d subscription allocated %d bytes (a dense matrix is %d)", n, grew, n*n*8)
+	}
+	for _, j := range []int{0, n / 2, n - 1} {
+		for _, i := range []int{0, j, n - 1} {
+			if got := view.Matrix.At(i, j); got != sc.Number {
+				t.Fatalf("column %d row %d = %d, want poison %d", j, i, got, sc.Number)
+			}
+		}
 	}
 }
 

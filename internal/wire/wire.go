@@ -36,6 +36,22 @@ var Magic = [4]byte{'B', 'C', 'C', '1'}
 
 const headerBytes = 4 + 8 + 4 + 4 + 1 + 1 + 4
 
+// MaxFrameBytes is the largest frame the transports carry: netcast's
+// stream framing and dgram's reassembler both refuse anything longer.
+const MaxFrameBytes = 16 << 20
+
+// matrixCycleFits reports whether a full matrix-control cycle of n
+// objects (each objBytes long, tsBits per control entry) fits in one
+// MaxFrameBytes frame — the largest database a server can put on the
+// air, and so the largest n a decoder may believe.
+func matrixCycleFits(n, objBytes, tsBits int) bool {
+	perObject := int64(objBytes) + (int64(n)*int64(tsBits)+7)/8
+	if perObject > MaxFrameBytes {
+		return false
+	}
+	return int64(headerBytes)+int64(n)*perObject <= MaxFrameBytes
+}
+
 // EncodeCycle serializes a broadcast cycle. Object values longer than
 // the layout's object size are rejected; shorter ones are zero-padded
 // (their length is not preserved — broadcast slots are fixed-width).
